@@ -14,11 +14,18 @@ type Answers struct {
 	// Vars are the query's variable names in first-occurrence order.
 	Vars []string
 	// Rows holds one term per variable per solution, sorted
-	// deterministically.
+	// deterministically.  Rows may be shared with the answer cache and
+	// with other callers' answers: treat them as read-only.
 	Rows [][]Term
 }
 
 func newAnswers(q parser.Query, sols []map[term.Var]term.Term) *Answers {
+	vars := queryVars(q)
+	return &Answers{Vars: varNames(vars), Rows: sortedRows(vars, sols)}
+}
+
+// queryVars lists the query's variables in first-occurrence order.
+func queryVars(q parser.Query) []term.Var {
 	seen := map[term.Var]bool{}
 	var vars []term.Var
 	for _, l := range q.Body {
@@ -29,20 +36,30 @@ func newAnswers(q parser.Query, sols []map[term.Var]term.Term) *Answers {
 			}
 		}
 	}
-	a := &Answers{Vars: make([]string, len(vars))}
+	return vars
+}
+
+func varNames(vars []term.Var) []string {
+	out := make([]string, len(vars))
 	for i, v := range vars {
-		a.Vars[i] = string(v)
+		out[i] = string(v)
 	}
+	return out
+}
+
+// sortedRows projects each solution onto vars and sorts the rows.
+func sortedRows(vars []term.Var, sols []map[term.Var]term.Term) [][]Term {
+	var rows [][]Term
 	for _, sol := range sols {
 		row := make([]Term, len(vars))
 		for i, v := range vars {
 			row[i] = sol[v]
 		}
-		a.Rows = append(a.Rows, row)
+		rows = append(rows, row)
 	}
-	sort.Slice(a.Rows, func(i, j int) bool {
-		for k := range a.Rows[i] {
-			x, y := a.Rows[i][k], a.Rows[j][k]
+	sort.Slice(rows, func(i, j int) bool {
+		for k := range rows[i] {
+			x, y := rows[i][k], rows[j][k]
 			if x == nil || y == nil {
 				continue
 			}
@@ -52,7 +69,7 @@ func newAnswers(q parser.Query, sols []map[term.Var]term.Term) *Answers {
 		}
 		return false
 	})
-	return a
+	return rows
 }
 
 // Len returns the number of answers.

@@ -110,10 +110,11 @@ func WithoutIndexes() Option { return func(c *config) { c.noIndexes = true } }
 // IndexHits) changes.  An ablation switch for benchmarks.
 func WithoutReorder() Option { return func(c *config) { c.noReorder = true } }
 
-// WithoutQueryCache disables both the prepared-form LRU and the
-// magic-answer cache on the Query path: every query recompiles and
-// re-evaluates from scratch.  An ablation switch for benchmarks; Prepare
-// still works and still skips recompilation through its own handle.
+// WithoutQueryCache disables the compiled-form LRU and the answer caches
+// of the engine and of every view it materializes: every query recompiles
+// and re-evaluates from scratch.  An ablation switch for benchmarks;
+// Prepare still works and still skips recompilation through its own
+// handle.
 func WithoutQueryCache() Option { return func(c *config) { c.noQueryCache = true } }
 
 // WithoutRewrite disables the automatic LDL1.5 → LDL1 compilation; programs
@@ -135,14 +136,12 @@ type Engine struct {
 	edb      *store.DB
 	model    *store.DB // memoized Run result
 
-	// prep is the LRU of compiled query forms keyed by (predicate,
-	// adornment); cache memoizes magic answers keyed additionally by the
-	// bound constants.  Both are nil under WithoutQueryCache.
-	prep  *prepLRU
-	cache *qcache.Cache
-	// deps is the head → body predicate adjacency of the compiled program,
-	// for dependency-cone computation at cache-fill time.
-	deps map[string][]string
+	// reader holds the answer cache, keyed by (predicate, adornment,
+	// constants), and the dependency edges for its cones; prep is the LRU
+	// of compiled magic forms keyed by (predicate, adornment).  Both caches
+	// are nil under WithoutQueryCache.
+	reader
+	prep *qcache.LRU[*magic.Prepared]
 
 	// typeMu guards the memoized type environment below.  The inference
 	// depends only on the compiled program (fixed) and the NAMES of the
@@ -196,11 +195,11 @@ func NewFromAST(p *ast.Program, opts ...Option) (*Engine, error) {
 	e.source = compiled
 	e.edb = store.NewDB()
 	e.edb.UseIndexes = !e.cfg.noIndexes
+	e.reader = reader{deps: map[string][]string{}, deadline: e.cfg.deadline, stats: e.cfg.stats}
 	if !e.cfg.noQueryCache {
-		e.prep = newPrepLRU(preparedCap)
+		e.prep = qcache.NewLRU[*magic.Prepared](preparedCap)
 		e.cache = qcache.New(answerCacheCap)
 	}
-	e.deps = map[string][]string{}
 	for _, ed := range layering.Edges(compiled) {
 		e.deps[ed.From] = append(e.deps[ed.From], ed.To)
 	}
@@ -343,18 +342,6 @@ func (e *Engine) evalOpts(ctx context.Context) eval.Options {
 	}
 }
 
-// withDeadline layers the configured WithDeadline onto ctx.  The returned
-// cancel func must always be called.
-func (e *Engine) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if e.cfg.deadline > 0 {
-		return context.WithTimeout(ctx, e.cfg.deadline)
-	}
-	return ctx, func() {}
-}
-
 // Run computes the standard minimal model M_n of the program with respect
 // to the extensional database (Theorem 1) and returns it.  The model is
 // memoized until facts change.
@@ -376,7 +363,7 @@ func (e *Engine) RunCtx(ctx context.Context) (*Model, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.model == nil {
-		ctx, cancel := e.withDeadline(ctx)
+		ctx, cancel := e.withDeadline(ctx, 0)
 		defer cancel()
 		db, err := eval.Eval(e.source, e.edb, e.evalOpts(ctx))
 		if err != nil {
@@ -390,7 +377,9 @@ func (e *Engine) RunCtx(ctx context.Context) (*Model, error) {
 // Query answers a conjunctive query ("ancestor(abe, W)", with or without
 // the ?- prefix).  With WithMagic and a single-literal query on a derived
 // predicate, the Generalized Magic Sets pipeline of §6 is used; otherwise
-// the full model is computed and filtered.
+// the full model is computed and filtered.  Single-literal queries whose
+// arguments are ground or distinct variables are served from, and fill,
+// the engine's answer cache.
 func (e *Engine) Query(q string) (*Answers, error) {
 	return e.QueryCtx(context.Background(), q)
 }
@@ -402,24 +391,7 @@ func (e *Engine) QueryCtx(ctx context.Context, q string) (*Answers, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e.cfg.magic && len(query.Body) == 1 && e.isDerived(query.Body[0].Pred) {
-		sols, err := e.magicQuery(ctx, query)
-		if err != nil {
-			return nil, err
-		}
-		return newAnswers(query, sols), nil
-	}
-	m, err := e.RunCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := e.withDeadline(ctx)
-	defer cancel()
-	sols, err := eval.SolveCtx(ctx, query.Body, m.db)
-	if err != nil {
-		return nil, err
-	}
-	return newAnswers(query, sols), nil
+	return read(ctx, e, query, nil, ReadOpts{})
 }
 
 func (e *Engine) isDerived(pred string) bool {

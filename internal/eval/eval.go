@@ -61,8 +61,8 @@ type Stats struct {
 	// EstimatedRows sums the cost model's per-step candidate estimates over
 	// all compiled plans — the planner's view of how much work it scheduled.
 	EstimatedRows int64
-	// CacheHits counts queries answered from the engine's magic-answer
-	// cache without any evaluation.
+	// CacheHits counts engine queries answered from its answer cache
+	// without any evaluation.
 	CacheHits int
 }
 

@@ -116,7 +116,7 @@ type Materialized struct {
 // names of every predicate (EDB and IDB) whose extension changed in the
 // published model.  The callback runs under the Apply lock — after the new
 // snapshot is visible, before the next transaction can start — so cache
-// layers above the view (the engine's magic-answer cache) can invalidate
+// layers above the view (the view's answer cache) can invalidate
 // without racing a concurrent Apply.  The callback must not call back into
 // Apply.  Passing nil unregisters.
 func (m *Materialized) OnChange(fn func(preds []string)) {

@@ -1,7 +1,7 @@
 package load
 
 // The two built-in targets: an in-process materialized view (snapshot
-// reads through the root view.go path, writes through one-transaction
+// reads through the root package's read path, writes through one-transaction
 // incremental maintenance) and an ldl1d server driven over HTTP through
 // the Go client package.  Both are safe for concurrent Do: view reads are
 // lock-free snapshot loads, view writes serialize inside incr, and the

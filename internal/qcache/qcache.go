@@ -1,10 +1,11 @@
-// Package qcache implements the engine's magic-answer cache: a bounded LRU
-// from (predicate, adornment, constants) to the solutions a magic-sets
-// evaluation produced, plus the dependency cone that determines when a
-// database update invalidates the entry.
+// Package qcache implements the engine's answer cache: a bounded LRU from
+// (predicate, adornment, constants) to the sorted answer rows of one
+// evaluation, plus the dependency cone that determines when a database
+// update invalidates the entry.  The LRU underneath is generic over its
+// value, so the engine keeps its compiled magic forms in one as well.
 //
 // Entries are immutable once stored — callers must never mutate a returned
-// entry's solutions — so readers need no copy and the lock is held only for
+// entry's rows — so readers need no copy and the lock is held only for
 // map/list surgery, never during evaluation.  Invalidation takes the same
 // lock, which makes the cache's view atomic: a Get racing an Invalidate
 // observes either the entry or its absence, never a half-evicted state
@@ -22,6 +23,8 @@ import (
 // Key identifies one cached query form: the queried predicate, its
 // adornment (binding pattern), and the bound constants rendered in a
 // canonical form (term.Fact keys are canonical per the interning layer).
+// A compiled form depends only on the first two, so its key leaves Consts
+// empty.
 type Key struct {
 	Pred   string
 	Adorn  string
@@ -36,134 +39,159 @@ func ConstsKey(consts []term.Term) string {
 	return term.NewFact("", consts...).Key()
 }
 
-// Entry is one cached answer set.  Sols and Cone are frozen at Put time;
+// LRU is a thread-safe map from Key to V holding at most cap values; the
+// least recently used value is dropped beyond that (cap <= 0 disables it:
+// every Get misses and Put is a no-op).
+type LRU[V any] struct {
+	mu        sync.Mutex
+	cap       int
+	ll        *list.List // front = most recently used
+	m         map[Key]*list.Element
+	evictions int
+}
+
+type cell[V any] struct {
+	k Key
+	v V
+}
+
+// NewLRU returns an empty LRU holding at most cap values.
+func NewLRU[V any](cap int) *LRU[V] {
+	return &LRU[V]{cap: cap, ll: list.New(), m: map[Key]*list.Element{}}
+}
+
+// Get returns the value for k, promoting it to most-recently-used.
+func (l *LRU[V]) Get(k Key) (V, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.get(k)
+}
+
+// Put stores v under k, evicting the least-recently-used value beyond
+// capacity.
+func (l *LRU[V]) Put(k Key, v V) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.put(k, v)
+}
+
+// Len reports the number of live values.
+func (l *LRU[V]) Len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.ll.Len()
+}
+
+func (l *LRU[V]) get(k Key) (V, bool) {
+	el, ok := l.m[k]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	l.ll.MoveToFront(el)
+	return el.Value.(*cell[V]).v, true
+}
+
+func (l *LRU[V]) put(k Key, v V) {
+	if l.cap <= 0 {
+		return
+	}
+	if el, ok := l.m[k]; ok {
+		el.Value.(*cell[V]).v = v
+		l.ll.MoveToFront(el)
+		return
+	}
+	l.m[k] = l.ll.PushFront(&cell[V]{k: k, v: v})
+	for l.ll.Len() > l.cap {
+		l.remove(l.ll.Back())
+	}
+}
+
+func (l *LRU[V]) remove(el *list.Element) {
+	l.ll.Remove(el)
+	delete(l.m, el.Value.(*cell[V]).k)
+	l.evictions++
+}
+
+// Entry is one cached answer set.  Rows and Cone are frozen at fill time;
 // the cache hands out the same slice to every hit.
 type Entry struct {
-	// Sols are the solutions of the magic evaluation, in the order the
-	// evaluator produced them.
-	Sols []map[term.Var]term.Term
+	// Rows are the answers, one term per free argument position in
+	// positional order, sorted once when the entry is filled.  For a
+	// canonical literal (every argument ground or a distinct variable)
+	// positional order is first-occurrence variable order, so every
+	// spelling of the query reads the same rows.
+	Rows [][]term.Term
 	// Cone holds every predicate (EDB and IDB) the query depends on; an
 	// update touching any of them evicts the entry.
 	Cone map[string]bool
 }
 
-// Cache is a thread-safe LRU of query answers.
+// Cache is a thread-safe LRU of query answers with a generation fence.
 type Cache struct {
-	mu        sync.Mutex
-	cap       int
-	ll        *list.List // front = most recently used
-	m         map[Key]*list.Element
-	hits      int
-	misses    int
-	evictions int
-	// gen counts invalidations.  Lock-free readers (the materialized-view
-	// snapshot path) record Gen() before loading their snapshot and fill
-	// with PutAt: a fill raced by any intervening invalidation is dropped,
-	// so an answer computed against a superseded snapshot can never be
-	// published as current.
+	lru          *LRU[*Entry] // lru.mu guards every field below too
+	hits, misses int
+	// gen counts invalidations.  Readers record Gen() before loading the
+	// state they evaluate against and fill with PutAt: a fill raced by any
+	// intervening invalidation is dropped, so an answer computed against a
+	// superseded database can never be published as current.
 	gen int64
 }
 
-type cell struct {
-	k Key
-	e *Entry
-}
-
 // New returns a cache holding at most cap entries (cap <= 0 disables
-// caching: every Get misses and Put is a no-op).
+// caching: every Get misses and PutAt is a no-op).
 func New(cap int) *Cache {
-	return &Cache{cap: cap, ll: list.New(), m: map[Key]*list.Element{}}
+	return &Cache{lru: NewLRU[*Entry](cap)}
 }
 
 // Get returns the entry for k, promoting it to most-recently-used.
 func (c *Cache) Get(k Key) (*Entry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[k]
-	if !ok {
+	c.lru.mu.Lock()
+	defer c.lru.mu.Unlock()
+	e, ok := c.lru.get(k)
+	if ok {
+		c.hits++
+	} else {
 		c.misses++
-		return nil, false
 	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*cell).e, true
+	return e, ok
 }
 
-// Put stores e under k, evicting the least-recently-used entry beyond
-// capacity.  The entry must not be mutated after the call.
-func (c *Cache) Put(k Key, e *Entry) {
-	if c.cap <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[k]; ok {
-		el.Value.(*cell).e = e
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.m[k] = c.ll.PushFront(&cell{k: k, e: e})
-	for c.ll.Len() > c.cap {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.m, last.Value.(*cell).k)
-		c.evictions++
-	}
-}
-
-// Gen returns the current invalidation generation.  Readers that fill the
-// cache without holding any lock against writers must call Gen before
-// loading the snapshot they evaluate, and pass the value to PutAt.
+// Gen returns the current invalidation generation.  Readers must call Gen
+// before loading the state they evaluate, and pass the value to PutAt.
 func (c *Cache) Gen() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.lru.mu.Lock()
+	defer c.lru.mu.Unlock()
 	return c.gen
 }
 
-// PutAt is Put conditioned on the invalidation generation: the entry is
-// stored only if no Invalidate or Purge ran since the caller observed gen
-// with Gen().  A dropped fill is safe — the next Get simply misses.
+// PutAt stores e under k, evicting the least-recently-used entry beyond
+// capacity — but only if no Invalidate or Purge ran since the caller
+// observed gen with Gen().  A dropped fill is safe: the next Get simply
+// misses.  The entry must not be mutated after the call.
 func (c *Cache) PutAt(k Key, e *Entry, gen int64) {
-	if c.cap <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if gen != c.gen {
-		return
-	}
-	if el, ok := c.m[k]; ok {
-		el.Value.(*cell).e = e
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.m[k] = c.ll.PushFront(&cell{k: k, e: e})
-	for c.ll.Len() > c.cap {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.m, last.Value.(*cell).k)
-		c.evictions++
+	c.lru.mu.Lock()
+	defer c.lru.mu.Unlock()
+	if gen == c.gen {
+		c.lru.put(k, e)
 	}
 }
 
 // Invalidate evicts every entry whose dependency cone contains any of the
 // given predicates, returning the number evicted.  Every call advances the
-// generation, even when nothing matches: a concurrent lock-free fill
-// cannot tell whether its snapshot predates the update, so it must be
-// dropped regardless.
+// generation, even when nothing matches: a concurrent fill cannot tell
+// whether its database state predates the update, so it must be dropped
+// regardless.
 func (c *Cache) Invalidate(preds ...string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.lru.mu.Lock()
+	defer c.lru.mu.Unlock()
 	c.gen++
 	n := 0
-	for el := c.ll.Front(); el != nil; {
+	for el := c.lru.ll.Front(); el != nil; {
 		next := el.Next()
-		cl := el.Value.(*cell)
 		for _, p := range preds {
-			if cl.e.Cone[p] {
-				c.ll.Remove(el)
-				delete(c.m, cl.k)
-				c.evictions++
+			if el.Value.(*cell[*Entry]).v.Cone[p] {
+				c.lru.remove(el)
 				n++
 				break
 			}
@@ -175,24 +203,20 @@ func (c *Cache) Invalidate(preds ...string) int {
 
 // Purge empties the cache and advances the generation.
 func (c *Cache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.lru.mu.Lock()
+	defer c.lru.mu.Unlock()
 	c.gen++
-	c.evictions += c.ll.Len()
-	c.ll.Init()
-	c.m = map[Key]*list.Element{}
+	c.lru.evictions += c.lru.ll.Len()
+	c.lru.ll.Init()
+	c.lru.m = map[Key]*list.Element{}
 }
 
 // Len reports the number of live entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
+func (c *Cache) Len() int { return c.lru.Len() }
 
 // Counters reports cumulative hits, misses, and evictions.
 func (c *Cache) Counters() (hits, misses, evictions int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions
+	c.lru.mu.Lock()
+	defer c.lru.mu.Unlock()
+	return c.hits, c.misses, c.lru.evictions
 }

@@ -20,13 +20,17 @@ func entry(preds ...string) *Entry {
 	return &Entry{Cone: cone}
 }
 
+// put fills c at its current generation, as a reader with no racing
+// update does.
+func put(c *Cache, k Key, e *Entry) { c.PutAt(k, e, c.Gen()) }
+
 func TestCacheGetPut(t *testing.T) {
 	c := New(4)
 	if _, ok := c.Get(key(1)); ok {
 		t.Fatal("hit on empty cache")
 	}
 	e := entry("p1", "base")
-	c.Put(key(1), e)
+	put(c, key(1), e)
 	got, ok := c.Get(key(1))
 	if !ok || got != e {
 		t.Fatal("stored entry not returned")
@@ -37,27 +41,48 @@ func TestCacheGetPut(t *testing.T) {
 	}
 }
 
+// TestCacheLRUEviction pins LRU order and capacity eviction for both users
+// of the LRU: the answer cache, and the plain LRU the engine keeps its
+// compiled magic forms in (keyed by predicate and adornment only).
 func TestCacheLRUEviction(t *testing.T) {
-	c := New(2)
-	c.Put(key(1), entry("a"))
-	c.Put(key(2), entry("b"))
-	c.Get(key(1)) // promote 1; 2 is now LRU
-	c.Put(key(3), entry("c"))
-	if _, ok := c.Get(key(2)); ok {
-		t.Error("LRU entry survived eviction")
-	}
-	if _, ok := c.Get(key(1)); !ok {
-		t.Error("promoted entry evicted")
-	}
-	if c.Len() != 2 {
-		t.Errorf("len = %d", c.Len())
+	answers := New(2)
+	forms := NewLRU[string](2)
+	formKey := func(i int) Key { return Key{Pred: fmt.Sprintf("p%d", i), Adorn: "bf"} }
+	for _, in := range []struct {
+		name string
+		put  func(i int)
+		get  func(i int) bool
+		len  func() int
+	}{
+		{"answers",
+			func(i int) { put(answers, key(i), entry(fmt.Sprint(i))) },
+			func(i int) bool { _, ok := answers.Get(key(i)); return ok },
+			answers.Len},
+		{"compiled forms",
+			func(i int) { forms.Put(formKey(i), fmt.Sprint("form", i)) },
+			func(i int) bool { _, ok := forms.Get(formKey(i)); return ok },
+			forms.Len},
+	} {
+		in.put(1)
+		in.put(2)
+		in.get(1) // promote 1; 2 is now LRU
+		in.put(3)
+		if in.get(2) {
+			t.Errorf("%s: LRU entry survived eviction", in.name)
+		}
+		if !in.get(1) {
+			t.Errorf("%s: promoted entry evicted", in.name)
+		}
+		if n := in.len(); n != 2 {
+			t.Errorf("%s: len = %d", in.name, n)
+		}
 	}
 }
 
 func TestCacheInvalidateByCone(t *testing.T) {
 	c := New(8)
-	c.Put(key(1), entry("anc", "parent"))
-	c.Put(key(2), entry("sg", "sib"))
+	put(c, key(1), entry("anc", "parent"))
+	put(c, key(2), entry("sg", "sib"))
 	if n := c.Invalidate("unrelated"); n != 0 {
 		t.Fatalf("invalidated %d entries for unrelated pred", n)
 	}
@@ -74,7 +99,7 @@ func TestCacheInvalidateByCone(t *testing.T) {
 
 func TestCacheDisabled(t *testing.T) {
 	c := New(0)
-	c.Put(key(1), entry("a"))
+	put(c, key(1), entry("a"))
 	if _, ok := c.Get(key(1)); ok {
 		t.Error("disabled cache stored an entry")
 	}
@@ -95,7 +120,7 @@ func TestConstsKey(t *testing.T) {
 }
 
 func TestCacheConcurrent(t *testing.T) {
-	// Concurrent Get/Put/Invalidate must be race-free (run under -race).
+	// Concurrent Get/PutAt/Invalidate must be race-free (run under -race).
 	c := New(16)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -106,7 +131,7 @@ func TestCacheConcurrent(t *testing.T) {
 				k := key(i % 20)
 				switch g % 3 {
 				case 0:
-					c.Put(k, entry(k.Pred, "base"))
+					put(c, k, entry(k.Pred, "base"))
 				case 1:
 					c.Get(k)
 				default:

@@ -15,9 +15,10 @@ import (
 	"ldl1/internal/parser"
 )
 
-// database is one named materialized program: the admitted engine, its
-// incrementally maintained view, the named prepared handles, and the
-// per-database counters.
+// database is one named materialized program: its incrementally
+// maintained view, the named prepared handles, and the per-database
+// counters.  The admitted engine is not kept: the view cloned its EDB, so
+// the engine and its copy are collected once the view exists.
 //
 // Concurrency: reads go straight to the view's lock-free snapshot path
 // and never take writeMu.  writeMu serializes write handlers (the view
@@ -26,7 +27,6 @@ import (
 // by /stats without racing an in-flight transaction).
 type database struct {
 	name string
-	eng  *ldl1.Engine
 	view *ldl1.Materialized
 
 	writeMu sync.Mutex // serializes writes; guards evalStats reads
@@ -37,7 +37,7 @@ type database struct {
 	evalStats *ldl1.Stats
 
 	pmu      sync.RWMutex
-	prepared map[string]*ldl1.PreparedView
+	prepared map[string]*ldl1.PreparedQuery
 
 	loaded                                 time.Time
 	reads, writes, readErrors, writeErrors atomic.Int64
@@ -127,10 +127,9 @@ func (s *Server) Load(name, src string) error {
 	}
 	db := &database{
 		name:      name,
-		eng:       eng,
 		view:      view,
 		evalStats: st,
-		prepared:  map[string]*ldl1.PreparedView{},
+		prepared:  map[string]*ldl1.PreparedQuery{},
 		loaded:    time.Now(),
 	}
 	s.mu.Lock()

@@ -3,9 +3,10 @@ package ldl1
 import (
 	"context"
 	"fmt"
-	"time"
 
+	"ldl1/internal/eval"
 	"ldl1/internal/incr"
+	"ldl1/internal/magic"
 	"ldl1/internal/parser"
 	"ldl1/internal/qcache"
 	"ldl1/internal/term"
@@ -24,19 +25,11 @@ type UpdateResult = incr.Result
 // before an update remain valid and unchanged, so concurrent readers never
 // observe a half-applied transaction.
 type Materialized struct {
-	inner    *incr.Materialized
-	deadline time.Duration
-
-	// cache memoizes snapshot-read answers for canonical single-literal
-	// queries, shared by every PreparedView and QueryCtx caller of this
-	// view (one cache per view — entries depend on the view's EDB state,
-	// so it cannot be shared with the engine's magic-answer cache, whose
-	// entries are computed against the engine's own database).  Nil under
-	// WithoutQueryCache.
-	cache *qcache.Cache
-	// deps is the head → body predicate adjacency of the compiled program,
-	// for dependency-cone computation at cache-fill time.
-	deps map[string][]string
+	inner *incr.Materialized
+	// reader's answer cache is the view's own, shared by every prepared
+	// handle and QueryCtx caller of this view: its entries depend on the
+	// view's EDB, which incr.New cloned from the engine's.
+	reader
 }
 
 // Materialize evaluates the engine's program once against its current
@@ -58,40 +51,18 @@ func (e *Engine) Materialize() (*Materialized, error) {
 	if err != nil {
 		return nil, err
 	}
-	mv := &Materialized{inner: inner, deadline: e.cfg.deadline, deps: e.deps}
+	mv := &Materialized{inner: inner, reader: reader{deps: e.deps, deadline: e.cfg.deadline}}
 	if !e.cfg.noQueryCache {
-		mv.cache = qcache.New(answerCacheCap)
-	}
-	if e.cache != nil || mv.cache != nil {
 		// Delta-driven cache invalidation: a transaction touching any
 		// predicate inside a cached query's dependency cone evicts that
-		// entry, from the engine's magic-answer cache and the view's own
-		// snapshot-answer cache alike.  The hook runs after the view
-		// publishes its new snapshot and before its next transaction, so
-		// eviction is never lost under concurrent Exec/Assert.
-		engCache, viewCache := e.cache, mv.cache
-		inner.OnChange(func(preds []string) {
-			if engCache != nil {
-				engCache.Invalidate(preds...)
-			}
-			if viewCache != nil {
-				viewCache.Invalidate(preds...)
-			}
-		})
+		// entry.  The hook runs after the view publishes its new snapshot
+		// and before its next transaction, so eviction is never lost under
+		// concurrent Exec/Assert.  The engine's own cache is untouched:
+		// the view writes its cloned EDB, never the engine's.
+		mv.cache = qcache.New(answerCacheCap)
+		inner.OnChange(func(preds []string) { mv.cache.Invalidate(preds...) })
 	}
 	return mv, nil
-}
-
-// withDeadline layers the engine's WithDeadline onto ctx; the cancel func
-// must always be called.
-func (mv *Materialized) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if mv.deadline > 0 {
-		return context.WithTimeout(ctx, mv.deadline)
-	}
-	return ctx, func() {}
 }
 
 // parseFactList parses LDL1 source text consisting of facts only.
@@ -125,7 +96,7 @@ func (mv *Materialized) AssertCtx(ctx context.Context, src string) (UpdateResult
 	if err != nil {
 		return UpdateResult{}, err
 	}
-	ctx, cancel := mv.withDeadline(ctx)
+	ctx, cancel := mv.withDeadline(ctx, 0)
 	defer cancel()
 	return mv.inner.ApplyCtx(ctx, incr.Tx{Insert: fs})
 }
@@ -144,7 +115,7 @@ func (mv *Materialized) RetractCtx(ctx context.Context, src string) (UpdateResul
 	if err != nil {
 		return UpdateResult{}, err
 	}
-	ctx, cancel := mv.withDeadline(ctx)
+	ctx, cancel := mv.withDeadline(ctx, 0)
 	defer cancel()
 	return mv.inner.ApplyCtx(ctx, incr.Tx{Retract: fs})
 }
@@ -169,7 +140,7 @@ func (mv *Materialized) UpdateCtx(ctx context.Context, assertSrc, retractSrc str
 	if err != nil {
 		return UpdateResult{}, err
 	}
-	ctx, cancel := mv.withDeadline(ctx)
+	ctx, cancel := mv.withDeadline(ctx, 0)
 	defer cancel()
 	return mv.inner.ApplyCtx(ctx, incr.Tx{Insert: ins, Retract: del})
 }
@@ -190,4 +161,49 @@ func (mv *Materialized) Query(q string) (*Answers, error) {
 // per-call resource bounds.
 func (mv *Materialized) QueryCtx(ctx context.Context, q string) (*Answers, error) {
 	return mv.QueryOpts(ctx, q, ReadOpts{})
+}
+
+// QueryOpts answers a conjunctive query against the current model snapshot
+// under per-call resource bounds.  The read is lock-free: it loads the
+// current published snapshot and never blocks or is blocked by concurrent
+// Assert/Retract/Update transactions (which publish their own snapshots
+// atomically).
+func (mv *Materialized) QueryOpts(ctx context.Context, q string, o ReadOpts) (*Answers, error) {
+	query, err := parser.ParseQuery(q)
+	if err != nil {
+		return nil, err
+	}
+	return read(ctx, mv, query, nil, o)
+}
+
+// Prepare compiles a query for repeated execution against the view: the
+// parse and parameter analysis happen once, and each Exec sees the
+// snapshot current at its start.  As with Engine.Prepare, the ground
+// argument positions of a single-literal query become the parameters;
+// multi-literal queries prepare with zero parameters.
+func (mv *Materialized) Prepare(q string) (*PreparedQuery, error) {
+	query, err := parser.ParseQuery(q)
+	if err != nil {
+		return nil, err
+	}
+	return newPrepared(mv, query), nil
+}
+
+// CacheCounters reports the view's answer-cache statistics: cumulative
+// hits, misses, and evictions, plus the live entry count.  All zero when
+// the engine was built with WithoutQueryCache.
+func (mv *Materialized) CacheCounters() (hits, misses, evictions, entries int) {
+	if mv.cache == nil {
+		return 0, 0, 0, 0
+	}
+	hits, misses, evictions = mv.cache.Counters()
+	return hits, misses, evictions, mv.cache.Len()
+}
+
+// solve is the view's evaluation step: a filter over the current snapshot.
+func (mv *Materialized) solve(ctx context.Context, query parser.Query, _ *magic.Prepared, o ReadOpts) ([]map[term.Var]term.Term, parser.Query, error) {
+	ctx, cancel := mv.withDeadline(ctx, o.Deadline)
+	defer cancel()
+	sols, err := eval.SolveLimitsCtx(ctx, query.Body, mv.inner.Snapshot(), o.limits())
+	return sols, query, err
 }

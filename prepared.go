@@ -1,11 +1,9 @@
 package ldl1
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"ldl1/internal/analyze"
 	"ldl1/internal/ast"
@@ -15,7 +13,6 @@ import (
 	"ldl1/internal/parser"
 	"ldl1/internal/qcache"
 	"ldl1/internal/term"
-	"ldl1/internal/unify"
 )
 
 // preparedCap bounds the engine-internal LRU of compiled query forms; a
@@ -23,30 +20,36 @@ import (
 // workloads cycling through many distinct (predicate, adornment) shapes.
 const preparedCap = 32
 
-// answerCacheCap bounds the magic-answer cache.  Entries hold solution
-// slices, so the cap trades memory against repeated-query latency.
-const answerCacheCap = 128
-
-// PreparedQuery is a query compiled once for repeated execution: the
-// parse, adornment, magic rewrite, and stratification are done at Prepare
-// time, and each Exec binds concrete constants into the precompiled form.
-// On engines without WithMagic (or for queries the magic pipeline does not
-// cover), Exec still skips re-parsing and answers from the memoized model.
-// A PreparedQuery is immutable and safe for concurrent Exec.
+// PreparedQuery is a query compiled once for repeated execution against an
+// Engine or a Materialized view.  The ground argument positions of a
+// single-literal query become the parameters, and each Exec binds concrete
+// constants at them.  On an engine WithMagic, a query on a derived
+// predicate is adorned, magic-rewritten and stratified at Prepare time;
+// otherwise Exec still skips re-parsing and answers from the engine's
+// memoized model or the view's current snapshot.  A PreparedQuery is
+// immutable and safe for concurrent Exec.
 type PreparedQuery struct {
-	e     *Engine
+	src   source
 	query parser.Query
 	// pr is the compiled magic form; nil when Exec answers from the full
-	// model instead (non-magic engine, multi-literal or base-relation
-	// query).
+	// model instead (view, non-magic engine, multi-literal or
+	// base-relation query).
 	pr *magic.Prepared
 	// boundPos are the query-literal argument positions Exec constants
 	// bind, ascending (the ground positions of the prepared query).
 	boundPos []int
-	// canonical marks a query whose literal has only ground or
-	// distinct-variable arguments — the shape the answer cache and the
-	// shared prepared-form LRU can serve; see canonicalLit.
-	canonical bool
+}
+
+func newPrepared(src source, query parser.Query) *PreparedQuery {
+	pq := &PreparedQuery{src: src, query: query}
+	if len(query.Body) == 1 {
+		for i, a := range query.Body[0].Args {
+			if term.IsGround(a) {
+				pq.boundPos = append(pq.boundPos, i)
+			}
+		}
+	}
+	return pq
 }
 
 // Prepare compiles a query for repeated execution.  The query's ground
@@ -75,21 +78,10 @@ func (e *Engine) Prepare(q string) (*PreparedQuery, error) {
 			return nil, &VetError{Diagnostics: ds}
 		}
 	}
-	pq := &PreparedQuery{e: e, query: query}
-	if len(query.Body) == 1 {
-		lit := query.Body[0]
-		pq.canonical = canonicalLit(lit)
-		for i, a := range lit.Args {
-			if term.IsGround(a) {
-				pq.boundPos = append(pq.boundPos, i)
-			}
-		}
-		if e.cfg.magic && e.isDerived(lit.Pred) {
-			pr, err := e.preparedFor(query, lit)
-			if err != nil {
-				return nil, err
-			}
-			pq.pr = pr
+	pq := newPrepared(e, query)
+	if e.usesMagic(query) {
+		if pq.pr, err = e.preparedFor(query); err != nil {
+			return nil, err
 		}
 	}
 	return pq, nil
@@ -99,10 +91,13 @@ func (e *Engine) Prepare(q string) (*PreparedQuery, error) {
 // argument positions in the prepared query.
 func (pq *PreparedQuery) NumArgs() int { return len(pq.boundPos) }
 
+// Query returns the prepared query's source form.
+func (pq *PreparedQuery) Query() string { return pq.query.String() }
+
 // Exec runs the prepared query, binding args (which must be ground) at the
 // prepared parameter positions; no args re-runs the original constants.
 func (pq *PreparedQuery) Exec(args ...Term) (*Answers, error) {
-	return pq.ExecCtx(context.Background(), args...)
+	return pq.ExecOpts(context.Background(), ReadOpts{}, args...)
 }
 
 // ExecCtx is Exec under a context.  The engine's WithDeadline, WithLimit,
@@ -110,31 +105,17 @@ func (pq *PreparedQuery) Exec(args ...Term) (*Answers, error) {
 // is one evaluation under a fresh deadline, and a breach aborts with the
 // same taxonomy error the unprepared path returns.
 func (pq *PreparedQuery) ExecCtx(ctx context.Context, args ...Term) (*Answers, error) {
-	e := pq.e
-	if len(args) > 0 && len(args) != len(pq.boundPos) {
-		return nil, fmt.Errorf("ldl1: prepared query takes %d arguments, got %d", len(pq.boundPos), len(args))
-	}
-	if pq.pr != nil {
-		var consts []term.Term
-		if len(args) > 0 {
-			var err error
-			consts, err = normalizeConsts(args)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			consts = pq.pr.Defaults()
-		}
-		sols, err := e.execPrepared(ctx, pq.pr, consts, pq.canonical)
-		if err != nil {
-			return nil, err
-		}
-		return newAnswers(pq.query, sols), nil
-	}
-	// Full-model path: substitute the constants into the query literal and
-	// filter the memoized model.
+	return pq.ExecOpts(ctx, ReadOpts{}, args...)
+}
+
+// ExecOpts is ExecCtx under per-call resource bounds.  Against a view,
+// each Exec sees the snapshot current at its start.
+func (pq *PreparedQuery) ExecOpts(ctx context.Context, o ReadOpts, args ...Term) (*Answers, error) {
 	query := pq.query
 	if len(args) > 0 {
+		if len(args) != len(pq.boundPos) {
+			return nil, fmt.Errorf("ldl1: prepared query takes %d arguments, got %d", len(pq.boundPos), len(args))
+		}
 		consts, err := normalizeConsts(args)
 		if err != nil {
 			return nil, err
@@ -146,17 +127,50 @@ func (pq *PreparedQuery) ExecCtx(ctx context.Context, args ...Term) (*Answers, e
 		}
 		query = parser.Query{Body: []ast.Literal{{Negated: lit.Negated, Pred: lit.Pred, Args: newArgs}}}
 	}
-	m, err := e.RunCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := e.withDeadline(ctx)
+	return read(ctx, pq.src, query, pq.pr, o)
+}
+
+// usesMagic reports whether the engine answers query through the magic
+// pipeline: WithMagic, and a single literal on a derived predicate.
+func (e *Engine) usesMagic(query parser.Query) bool {
+	return e.cfg.magic && len(query.Body) == 1 && e.isDerived(query.Body[0].Pred)
+}
+
+// solve is the engine's evaluation step: a compiled magic form under the
+// read lock when the engine answers query through the magic pipeline,
+// otherwise a filter over the memoized model.
+func (e *Engine) solve(ctx context.Context, query parser.Query, pr *magic.Prepared, o ReadOpts) ([]map[term.Var]term.Term, parser.Query, error) {
+	ctx, cancel := e.withDeadline(ctx, o.Deadline)
 	defer cancel()
-	sols, err := eval.SolveCtx(ctx, query.Body, m.db)
-	if err != nil {
-		return nil, err
+	if !e.usesMagic(query) {
+		m, err := e.RunCtx(ctx)
+		if err != nil {
+			return nil, query, err
+		}
+		sols, err := eval.SolveLimitsCtx(ctx, query.Body, m.db, o.limits())
+		return sols, query, err
 	}
-	return newAnswers(query, sols), nil
+	if pr == nil {
+		var err error
+		if pr, err = e.preparedFor(query); err != nil {
+			return nil, query, err
+		}
+	}
+	_, consts, err := groundArgs(query.Body[0])
+	if err != nil {
+		return nil, query, err
+	}
+	e.mu.RLock()
+	opts := e.evalOpts(ctx)
+	if o.MemBudget > 0 {
+		opts.MemBudget = o.MemBudget
+	}
+	res, err := pr.Exec(e.edb, consts, opts)
+	e.mu.RUnlock()
+	if err != nil {
+		return nil, query, err
+	}
+	return res.Solutions, parser.Query{Body: []ast.Literal{pr.Adorned.QueryLit}}, nil
 }
 
 // variant is the engine's configured magic rewriting variant.
@@ -171,254 +185,21 @@ func (e *Engine) variant() magic.Variant {
 // consulting the shared (predicate, adornment) LRU for canonical queries —
 // adornment depends only on which positions are ground, so one compiled
 // form serves every constant.
-func (e *Engine) preparedFor(query parser.Query, lit ast.Literal) (*magic.Prepared, error) {
+func (e *Engine) preparedFor(query parser.Query) (*magic.Prepared, error) {
+	lit := query.Body[0]
 	if e.prep == nil || !canonicalLit(lit) {
 		return magic.PrepareVariant(e.source, query, e.variant())
 	}
-	k := prepKey{pred: lit.Pred, adorn: string(magic.AdornQuery(lit))}
-	if pr, ok := e.prep.get(k); ok {
+	k := qcache.Key{Pred: lit.Pred, Adorn: string(magic.AdornQuery(lit))}
+	if pr, ok := e.prep.Get(k); ok {
 		return pr, nil
 	}
 	pr, err := magic.PrepareVariant(e.source, query, e.variant())
 	if err != nil {
 		return nil, err
 	}
-	e.prep.put(k, pr)
+	e.prep.Put(k, pr)
 	return pr, nil
-}
-
-// magicQuery answers a single-literal query on a derived predicate via the
-// magic pipeline, routing canonical queries through the prepared-form LRU
-// and the answer cache.  Solutions are returned in the caller's variable
-// names.
-func (e *Engine) magicQuery(ctx context.Context, query parser.Query) ([]map[term.Var]term.Term, error) {
-	lit := query.Body[0]
-	if e.prep == nil || !canonicalLit(lit) {
-		// Cacheless path: compile afresh, exactly the seed behavior.
-		ctx, cancel := e.withDeadline(ctx)
-		defer cancel()
-		e.mu.RLock()
-		defer e.mu.RUnlock()
-		res, err := magic.AnswerVariant(e.source, e.edb, query, e.evalOpts(ctx), e.variant())
-		if err != nil {
-			return nil, err
-		}
-		return res.Solutions, nil
-	}
-	pr, err := e.preparedFor(query, lit)
-	if err != nil {
-		return nil, err
-	}
-	consts, err := constsAt(lit, pr.BoundPositions())
-	if err != nil {
-		return nil, err
-	}
-	sols, err := e.execPrepared(ctx, pr, consts, true)
-	if err != nil {
-		return nil, err
-	}
-	return remapSolutions(pr.Adorned.QueryLit, lit, sols), nil
-}
-
-// execPrepared evaluates a compiled magic form for the given constants,
-// serving and filling the answer cache when the query shape is canonical.
-// Cached entries are immutable; a hit returns the stored solution slice
-// without copying (remapSolutions copies when variable names differ).
-func (e *Engine) execPrepared(ctx context.Context, pr *magic.Prepared, consts []term.Term, canonical bool) ([]map[term.Var]term.Term, error) {
-	useCache := e.cache != nil && canonical
-	var key qcache.Key
-	if useCache {
-		key = qcache.Key{
-			Pred:   pr.Adorned.QueryPred,
-			Adorn:  string(pr.Adorned.QueryAdorn),
-			Consts: qcache.ConstsKey(consts),
-		}
-		if ent, ok := e.cache.Get(key); ok {
-			if e.cfg.stats != nil {
-				e.cfg.stats.CacheHits++
-			}
-			return ent.Sols, nil
-		}
-	}
-	ctx, cancel := e.withDeadline(ctx)
-	defer cancel()
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	res, err := pr.Exec(e.edb, consts, e.evalOpts(ctx))
-	if err != nil {
-		// Never cache a failed evaluation: a deadline or limit breach must
-		// not poison later calls with partial answers.
-		return nil, err
-	}
-	if useCache {
-		// Published under the read lock, so a concurrent AddFact/AddDB (which
-		// needs the write lock) always invalidates strictly after this Put.
-		e.cache.Put(key, &qcache.Entry{Sols: res.Solutions, Cone: e.cone(pr.Adorned.QueryPred)})
-	}
-	return res.Solutions, nil
-}
-
-// cone returns the dependency cone of pred: every predicate (EDB and IDB)
-// reachable from it through the compiled program's rules.  An update to any
-// predicate in the cone may change the query's answers.
-func (e *Engine) cone(pred string) map[string]bool {
-	out := map[string]bool{pred: true}
-	stack := []string{pred}
-	for len(stack) > 0 {
-		p := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, q := range e.deps[p] {
-			if !out[q] {
-				out[q] = true
-				stack = append(stack, q)
-			}
-		}
-	}
-	return out
-}
-
-// canonicalLit reports whether a query literal is cache-shaped: positive,
-// every argument either ground or a variable, and no variable repeated.
-// Only then do (predicate, adornment, constants) fully determine the
-// answers, so only such queries share prepared forms and cache entries;
-// anything else (repeated variables add equality constraints, compound
-// patterns add structure) takes the compile-afresh path.
-func canonicalLit(l ast.Literal) bool {
-	if l.Negated {
-		return false
-	}
-	seen := map[term.Var]bool{}
-	for _, a := range l.Args {
-		if v, ok := a.(term.Var); ok {
-			if seen[v] {
-				return false
-			}
-			seen[v] = true
-			continue
-		}
-		if !term.IsGround(a) {
-			return false
-		}
-	}
-	return true
-}
-
-// constsAt extracts and normalizes the literal's arguments at the given
-// positions.
-func constsAt(l ast.Literal, pos []int) ([]term.Term, error) {
-	out := make([]term.Term, len(pos))
-	for i, p := range pos {
-		v, err := unify.Apply(l.Args[p], unify.NewBindings())
-		if err != nil {
-			return nil, fmt.Errorf("ldl1: query argument %s: %w", l.Args[p], err)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// normalizeConsts evaluates prepared-call arguments to ground terms.
-func normalizeConsts(args []Term) ([]term.Term, error) {
-	out := make([]term.Term, len(args))
-	for i, a := range args {
-		v, err := unify.Apply(a, unify.NewBindings())
-		if err != nil {
-			return nil, fmt.Errorf("ldl1: prepared argument %s: %w", a, err)
-		}
-		if !term.IsGround(v) {
-			return nil, fmt.Errorf("ldl1: prepared argument %s is not ground", a)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// remapSolutions renames solution variables from the prepared query's
-// literal to the caller's, matching by argument position.  Both literals
-// are canonical with the same adornment, so their free positions coincide
-// and hold plain variables.
-func remapSolutions(src, dst ast.Literal, sols []map[term.Var]term.Term) []map[term.Var]term.Term {
-	mapping := map[term.Var]term.Var{}
-	same := true
-	for i, a := range src.Args {
-		v, ok := a.(term.Var)
-		if !ok {
-			continue
-		}
-		w, ok := dst.Args[i].(term.Var)
-		if !ok {
-			continue // adornments match, so this cannot happen
-		}
-		mapping[v] = w
-		if v != w {
-			same = false
-		}
-	}
-	if same {
-		return sols
-	}
-	out := make([]map[term.Var]term.Term, len(sols))
-	for i, s := range sols {
-		m := make(map[term.Var]term.Term, len(s))
-		for v, t := range s {
-			if w, ok := mapping[v]; ok {
-				m[w] = t
-			}
-		}
-		out[i] = m
-	}
-	return out
-}
-
-// prepKey identifies one compiled query form: adornment depends only on
-// which argument positions are ground, never on the constants.
-type prepKey struct {
-	pred  string
-	adorn string
-}
-
-// prepLRU is a small thread-safe LRU of compiled magic forms.
-type prepLRU struct {
-	mu  sync.Mutex
-	cap int
-	ll  *list.List
-	m   map[prepKey]*list.Element
-}
-
-type prepCell struct {
-	k  prepKey
-	pr *magic.Prepared
-}
-
-func newPrepLRU(cap int) *prepLRU {
-	return &prepLRU{cap: cap, ll: list.New(), m: map[prepKey]*list.Element{}}
-}
-
-func (l *prepLRU) get(k prepKey) (*magic.Prepared, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	el, ok := l.m[k]
-	if !ok {
-		return nil, false
-	}
-	l.ll.MoveToFront(el)
-	return el.Value.(*prepCell).pr, true
-}
-
-func (l *prepLRU) put(k prepKey, pr *magic.Prepared) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if el, ok := l.m[k]; ok {
-		el.Value.(*prepCell).pr = pr
-		l.ll.MoveToFront(el)
-		return
-	}
-	l.m[k] = l.ll.PushFront(&prepCell{k: k, pr: pr})
-	for l.ll.Len() > l.cap {
-		last := l.ll.Back()
-		l.ll.Remove(last)
-		delete(l.m, last.Value.(*prepCell).k)
-	}
 }
 
 // planString renders the cost-based join plan of every rule in the query's

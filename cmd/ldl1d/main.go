@@ -39,6 +39,16 @@ import (
 	"ldl1/internal/server"
 )
 
+// Listener timeouts.  readHeaderTimeout bounds how long a client may take
+// to send its request headers, so a connection that never finishes them
+// is closed instead of held forever; idleTimeout closes keep-alive
+// connections that sit unused between requests.  Neither bounds a
+// request's evaluation — that is -deadline's job.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr      = flag.String("addr", ":8370", "listen address")
@@ -91,7 +101,12 @@ func main() {
 		log.Fatal("ldl1d: no programs loaded and -admin is off; nothing to serve")
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           srv,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	done := make(chan struct{})
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -63,12 +63,15 @@ type benchResult struct {
 	PlansReordered int64 `json:"plans_reordered"`
 	CacheHits      int64 `json:"cache_hits"`
 	// Scale-sweep metrics (v5), set only on the s* EDB-load entries: heap
-	// bytes retained per stored fact once the input slice is dropped, total
-	// GC pause accumulated during the load, and the load's speedup over the
-	// per-fact insert-loop baseline of the same sweep point.
-	BytesPerFact float64 `json:"bytes_per_fact,omitempty"`
-	GCPauseNs    int64   `json:"gc_pause_ns,omitempty"`
-	LoadSpeedup  float64 `json:"load_speedup,omitempty"`
+	// bytes retained per stored fact once the input slice is dropped, the
+	// same figure after one All() and one LookupCols index build per
+	// relation, total GC pause accumulated during the load, and the load's
+	// speedup over the per-fact insert-loop baseline of the same sweep
+	// point.
+	BytesPerFact     float64 `json:"bytes_per_fact,omitempty"`
+	BytesPerFactRead float64 `json:"bytes_per_fact_read,omitempty"`
+	GCPauseNs        int64   `json:"gc_pause_ns,omitempty"`
+	LoadSpeedup      float64 `json:"load_speedup,omitempty"`
 	// Load-driver metrics (v7), set only on the l* sustained-load entries
 	// (and on reports written by `ldlbench -load`): latency percentiles of
 	// one operation over the whole duration-based run, the throughput the
@@ -578,8 +581,8 @@ func runBenchJSON(path string, reps int, timeout time.Duration, filter, scale st
 			return nil, fmt.Errorf("%s/%s: %w", e.id, e.name, err)
 		}
 		row.ID, row.Name = e.id, e.name
-		fmt.Printf("%-4s %-30s %12d ns/op %14.0f facts/sec %8.1f B/fact %10d gc-pause-ns %6.2fx\n",
-			e.id, e.name, row.NsPerOp, row.FactsPerSec, row.BytesPerFact, row.GCPauseNs, row.LoadSpeedup)
+		fmt.Printf("%-4s %-30s %12d ns/op %14.0f facts/sec %8.1f B/fact %8.1f B/fact-read %10d gc-pause-ns %6.2fx\n",
+			e.id, e.name, row.NsPerOp, row.FactsPerSec, row.BytesPerFact, row.BytesPerFactRead, row.GCPauseNs, row.LoadSpeedup)
 		report.Results = append(report.Results, *row)
 	}
 	// l* sustained-load entries (v7): duration-based open/closed-loop runs

@@ -249,14 +249,12 @@ func (e *Engine) AddFacts(src string) error {
 
 // AddDB inserts every fact of a prebuilt database (e.g. from the workload
 // generators used in benchmarks).  Each source relation is loaded through
-// the parallel bulk path with packing enabled: ground flat facts land as
-// compact constant-ID rows, inflated back to *term.Fact only when a query
-// first needs their term structure.
+// the shard-parallel bulk path.
 func (e *Engine) AddDB(db *store.DB) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.model = nil
-	opts := store.LoadOpts{Workers: e.cfg.workers, Pack: true}
+	opts := store.LoadOpts{Workers: e.cfg.workers}
 	for _, p := range db.Preds() {
 		if r := db.RelOrNil(p); r != nil && r.Len() > 0 {
 			e.edb.LoadFacts(r.All(), opts)

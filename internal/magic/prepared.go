@@ -136,8 +136,7 @@ func (pr *Prepared) Exec(edb *store.DB, consts []term.Term, opts eval.Options) (
 		}
 		db := edb.Clone()
 		db.Insert(seed)
-		// Accumulated magic facts splice in through the batch path (no
-		// packing: they are consumed structurally by the very next pass).
+		// Accumulated magic facts splice in through the batch path.
 		db.LoadFacts(acc.Facts(), store.LoadOpts{})
 		if err := eval.EvalGroups(pr.groups, db, opts); err != nil {
 			return nil, err

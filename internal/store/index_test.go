@@ -116,6 +116,24 @@ func TestCompositeIndexMaintainedByInsert(t *testing.T) {
 	if !found {
 		t.Error("single-column index not maintained by Insert")
 	}
+	// A batch into the indexed relation reaches both indexes without
+	// rebuilding them.
+	batch := []*term.Fact{
+		term.NewFact("p", term.Int(1), term.Int(2), term.Int(1000)),
+		term.NewFact("p", term.Int(1), term.Int(2), term.Int(1001)),
+	}
+	if n := r.InsertBatch(batch, LoadOpts{}); n != 2 {
+		t.Fatalf("InsertBatch added %d, want 2", n)
+	}
+	if got, _ := r.LookupCols([]int{0, 1}, []term.Term{term.Int(1), term.Int(2)}); len(got) != len(after)+2 {
+		t.Fatalf("composite index not maintained by InsertBatch: %d -> %d facts", len(after), len(got))
+	}
+	if got, _ := r.LookupCols([]int{1}, []term.Term{term.Int(2)}); len(got) != len(single)+2 || got[len(got)-1] != batch[1] {
+		t.Error("single-column index not maintained by InsertBatch")
+	}
+	if n := len(builtIndexes(r)); n != 2 {
+		t.Fatalf("InsertBatch changed the index snapshot: %d indexes", n)
+	}
 }
 
 func TestCompositeLookupAllHashesCollide(t *testing.T) {
@@ -137,12 +155,19 @@ func TestCompositeLookupAllHashesCollide(t *testing.T) {
 }
 
 // TestConcurrentLookupBuild races many readers against the first index
-// build; run under -race this exercises the lock-free snapshot path and
-// the double-checked construction.
+// build on a sharded, bulk-loaded relation; run under -race this exercises
+// the lock-free snapshot path, the double-checked construction, and point
+// reads through the shard tables, which must all agree on one canonical
+// pointer per fact.
 func TestConcurrentLookupBuild(t *testing.T) {
+	fs := make([]*term.Fact, 2000)
+	for i := range fs {
+		fs[i] = term.NewFact("p", term.Int(int64(i%10)), term.Int(int64(i%7)), term.Int(int64(i)))
+	}
 	r := NewRelation("p", true)
-	for i := 0; i < 400; i++ {
-		r.Insert(term.NewFact("p", term.Int(i%10), term.Int(i%7), term.Int(i)))
+	r.InsertBatch(fs, LoadOpts{Workers: 4, Shards: 4})
+	if r.ShardCount() != 4 {
+		t.Fatalf("ShardCount=%d, want 4", r.ShardCount())
 	}
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
@@ -162,6 +187,12 @@ func TestConcurrentLookupBuild(t *testing.T) {
 				single, _ := r.LookupCols([]int{1}, []term.Term{term.Int(b)})
 				if len(single) == 0 {
 					errs <- fmt.Sprintf("goroutine %d: empty single-column lookup", g)
+					return
+				}
+				want := fs[(g*200+k)%len(fs)]
+				fresh := term.NewFact("p", want.Args...)
+				if got, ok := r.Get(fresh); !ok || got != want {
+					errs <- fmt.Sprintf("goroutine %d: Get(%s) not canonical", g, fresh)
 					return
 				}
 			}

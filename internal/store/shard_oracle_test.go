@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -68,16 +69,18 @@ func (r *refDB) lookup(pred string, c int, v term.Term) []string {
 	return out
 }
 
-// randFact draws from a small universe so inserts collide, deletes hit,
-// and packed and pointer paths interleave: most facts are ground flat
-// (packable), a fraction carry a compound argument (pointer path).
+// randOracleFact draws from a small universe so inserts collide and
+// deletes hit: most facts are ground flat, a fraction carry a compound
+// argument, have arity 1, or have no arguments at all.
 func randOracleFact(rng *rand.Rand) *term.Fact {
 	pred := fmt.Sprintf("p%d", rng.Intn(3))
-	switch rng.Intn(10) {
-	case 0:
+	switch rng.Intn(20) {
+	case 0, 1:
 		return term.NewFact(pred, term.NewCompound("f", term.Int(int64(rng.Intn(20)))), term.Int(int64(rng.Intn(20))))
-	case 1:
+	case 2, 3:
 		return term.NewFact(pred, term.Atom(fmt.Sprintf("a%d", rng.Intn(20))))
+	case 4:
+		return term.NewFact(pred)
 	default:
 		return term.NewFact(pred, term.Int(int64(rng.Intn(40))), term.Atom(fmt.Sprintf("a%d", rng.Intn(20))))
 	}
@@ -94,14 +97,13 @@ func oracleScenario(t *testing.T, seed int64, workers int) string {
 	forks := 0
 	for step := 0; step < 60; step++ {
 		switch op := rng.Intn(10); {
-		case op < 3: // bulk load, sometimes packed
+		case op < 3: // bulk load
 			n := 1 + rng.Intn(200)
 			fs := make([]*term.Fact, n)
 			for i := range fs {
 				fs[i] = randOracleFact(rng)
 			}
-			pack := rng.Intn(2) == 0
-			got := db.LoadFacts(fs, LoadOpts{Workers: workers, Pack: pack})
+			got := db.LoadFacts(fs, LoadOpts{Workers: workers})
 			want := 0
 			for _, f := range fs {
 				if ref.insert(f) {
@@ -167,12 +169,13 @@ func oracleScenario(t *testing.T, seed int64, workers int) string {
 	if got, want := db.String(), refString(ref); got != want {
 		t.Fatalf("seed %d: final contents diverge\n store: %.300s\noracle: %.300s", seed, got, want)
 	}
-	// Canonical identity: Get must return one stable pointer per value.
+	// Canonical identity: Get of an equal fact must return the one pointer
+	// the relation iterates, with the same hash.
 	for _, f := range ref.facts[:min(len(ref.facts), 20)] {
 		fresh := term.NewFact(f.Pred, append([]term.Term(nil), f.Args...)...)
-		g1, ok1 := db.RelOrNil(f.Pred).Get(fresh)
-		g2, ok2 := db.RelOrNil(f.Pred).Get(fresh)
-		if !ok1 || !ok2 || g1 != g2 {
+		r := db.RelOrNil(f.Pred)
+		g, ok := r.Get(fresh)
+		if !ok || g.Hash() != fresh.Hash() || !slices.Contains(r.All(), g) {
 			t.Fatalf("seed %d: Get not canonical for %s", seed, f)
 		}
 	}
@@ -223,13 +226,10 @@ func TestLoadFactsDeterministicOrder(t *testing.T) {
 	var orders [][]*term.Fact
 	for _, workers := range []int{1, 2, 4} {
 		db := NewDBWith(Config{Shards: 8})
-		db.LoadFacts(fs, LoadOpts{Workers: workers, Pack: true})
+		db.LoadFacts(fs, LoadOpts{Workers: workers})
 		r := db.RelOrNil("e")
 		if r.ShardCount() != 8 {
 			t.Fatalf("workers=%d: resharded to %d, want 8", workers, r.ShardCount())
-		}
-		if r.PackedRows() == 0 {
-			t.Fatalf("workers=%d: nothing packed", workers)
 		}
 		orders = append(orders, append([]*term.Fact(nil), r.All()...))
 	}

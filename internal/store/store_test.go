@@ -166,3 +166,70 @@ func TestLargeRelationLookupScales(t *testing.T) {
 		}
 	}
 }
+
+// FuzzPackRoundTrip fuzzes a single fact through the bulk path: batch
+// dedup, canonical re-interning of an equal fact, and delete.  The name
+// predates the current store and is kept so existing fuzz corpora apply.
+func FuzzPackRoundTrip(f *testing.F) {
+	f.Add(int64(0), "a", "s")
+	f.Add(int64(-1), "", "π∂")
+	f.Add(int64(1<<62), "xyzzy", "\x00\xff")
+	f.Fuzz(func(t *testing.T, n int64, b, c string) {
+		mk := func() *term.Fact { return term.NewFact("fz", term.Int(n), term.Atom(b), term.Str(c)) }
+		fact := mk()
+		r := NewRelation("fz", true)
+		if r.InsertBatch([]*term.Fact{fact, fact}, LoadOpts{}) != 1 {
+			t.Fatal("batch dedup failed")
+		}
+		all := r.All()
+		if len(all) != 1 || !term.EqualFacts(all[0], fact) || all[0].Hash() != fact.Hash() {
+			t.Fatalf("round trip mangled %s -> %v", fact, all)
+		}
+		if g, ok := r.Get(mk()); !ok || g != all[0] {
+			t.Fatal("re-intern not canonical")
+		}
+		if !r.Delete(fact) || r.Len() != 0 {
+			t.Fatal("delete after round trip failed")
+		}
+	})
+}
+
+// TestBulkLoadDeleteAndReinsert deletes from a relation filled by one
+// sharded bulk load, re-inserts a deleted value, and batch-deletes a mix
+// of hits and misses.
+func TestBulkLoadDeleteAndReinsert(t *testing.T) {
+	fs := make([]*term.Fact, 2000)
+	for i := range fs {
+		fs[i] = f("d", i, i+1)
+	}
+	db := NewDBWith(Config{Shards: 4})
+	if n := db.LoadFacts(fs, LoadOpts{Workers: 2}); n != 2000 {
+		t.Fatalf("LoadFacts added %d, want 2000", n)
+	}
+	r := db.RelOrNil("d")
+	if r.ShardCount() != 4 {
+		t.Fatalf("ShardCount=%d, want 4", r.ShardCount())
+	}
+	if !r.Delete(f("d", 3, 4)) || r.Delete(f("d", 3, 4)) {
+		t.Fatal("delete after bulk load wrong")
+	}
+	if r.Len() != 1999 || len(r.All()) != 1999 || r.Contains(f("d", 3, 4)) {
+		t.Fatalf("Len=%d after delete", r.Len())
+	}
+	back := f("d", 3, 4)
+	if !r.Insert(back) || r.Len() != 2000 {
+		t.Fatal("re-insert after delete failed")
+	}
+	if all := r.All(); all[len(all)-1] != back {
+		t.Fatal("re-inserted fact not appended last")
+	}
+	n := r.DeleteAll([]*term.Fact{f("d", 0, 1), f("d", 0, 1), f("d", 10, 11), f("d", 5000, 1)})
+	if n != 2 || r.Len() != 1998 || len(r.All()) != 1998 {
+		t.Fatalf("DeleteAll removed %d, Len=%d", n, r.Len())
+	}
+	for _, g := range r.All() {
+		if term.EqualFacts(g, f("d", 10, 11)) {
+			t.Fatal("deleted fact still in All()")
+		}
+	}
+}

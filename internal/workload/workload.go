@@ -335,10 +335,9 @@ func Merge(dbs ...*store.DB) *store.DB {
 
 // ScaleFacts returns n ground flat edge facts for the s* scale-sweep
 // benchmarks: 2-ary edge(A, B) over a universe of about n/4 distinct
-// integers, so inserts collide realistically and packed encodings amortize
-// their constant dictionary.  Values are offset by base so independent
-// callers (the sweep's load variants) intern disjoint constants and each
-// pays for its own dictionary growth.  Deterministic in n and base.
+// integers, so inserts collide realistically.  Values are offset by base
+// so independent callers (the sweep's load variants) draw disjoint
+// constants.  Deterministic in n and base.
 func ScaleFacts(n int, base int64) []*term.Fact {
 	vals := uint64(n / 4)
 	if vals < 16 {

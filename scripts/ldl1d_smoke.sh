@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for ldl1d: build the server, boot it against the
 # shipped programs/, run a scripted session over the HTTP surface (query,
-# assert, re-query, stats), then shut it down gracefully and check it
-# drained cleanly.  Run from the repo root; CI runs it on every push.
+# assert, re-query, stats, a stalled-header connection), then shut it
+# down gracefully and check it drained cleanly.  Run from the repo root; CI runs it on every push.
 set -euo pipefail
 
 ADDR="127.0.0.1:${LDL1D_PORT:-8370}"
@@ -60,6 +60,16 @@ R=$(curl -sf "$BASE/stats") || fail "stats request"
 REQ=$(jget "$R" requests)
 [ "$REQ" -gt 0 ] || fail "stats reports no requests: $R"
 echo "   $REQ requests served"
+
+say "stalled headers are cut off"
+# A client that never finishes its request headers must be disconnected
+# once the server's header read timeout (5s) expires, not held forever.
+exec 3<>"/dev/tcp/${ADDR%:*}/${ADDR##*:}" || fail "raw connect"
+printf 'GET /healthz HTTP/1.1\r\nHost: smoke\r\n' >&3
+T0=$(date +%s)
+timeout 20 cat <&3 >/dev/null || fail "connection with unfinished headers still open after 20s"
+exec 3<&-
+echo "   closed after $(( $(date +%s) - T0 ))s"
 
 say "graceful shutdown"
 kill -TERM "$SRV"
